@@ -1,6 +1,6 @@
 # Convenience targets for the NN-Baton reproduction.
 
-.PHONY: install test audit bench bench-full bench-smoke bench-record bench-report batch-parity ci faults faults-io obs-telemetry guided lint coverage profile examples clean
+.PHONY: install test audit bench bench-full bench-smoke bench-record bench-report batch-parity perfbench-smoke ci faults faults-io obs-telemetry guided lint coverage profile examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -164,7 +164,8 @@ guided:
 # with the numpy batch kernel on and off -- the two JSON payloads must be
 # byte-identical (winner, energy, cycles, EDP on every point) -- and the
 # same gate on a transformer sweep, so GEMM-shaped candidate spaces are
-# held to the identical contract.  See docs/modeling.md section 11.
+# held to the identical contract, and on an exhaustive-profile `repro map`
+# (the profile the post-design flow uses).  See docs/modeling.md section 11.
 batch-parity:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
 		tests/core/test_batch.py tests/properties/test_batch_kernel.py
@@ -194,7 +195,22 @@ batch-parity:
 		--macs 512 --models bert_base --profile minimal \
 		--stride 997 --jobs 4 --json "$$tmp/bert-chunked.json" >/dev/null && \
 	cmp "$$tmp/bert-chunked.json" "$$tmp/bert-batch.json" && \
-	echo "chunked batch kernel (REPRO_BATCH_MAX_BYTES) byte-identical to one-shot"
+	echo "chunked batch kernel (REPRO_BATCH_MAX_BYTES) byte-identical to one-shot" && \
+	REPRO_BATCH_KERNEL=1 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile exhaustive --json "$$tmp/map-batch.json" >/dev/null && \
+	REPRO_BATCH_KERNEL=0 \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro map resnet50 \
+		--profile exhaustive --json "$$tmp/map-scalar.json" >/dev/null && \
+	cmp "$$tmp/map-batch.json" "$$tmp/map-scalar.json" && \
+	echo "batch kernel byte-identical on the exhaustive post-design search (resnet50)"
+
+# Guard for the repository benchmark (perfbench/): its own self-tests, then
+# one short traced map-cold run.  Fails when a refactor removes a name the
+# tracer wraps or when any pinned answer drifts.
+perfbench-smoke:
+	python3 perfbench/selftest.py
+	python3 perfbench/run.py --workload map-cold --seconds 1 --trace 1 >/dev/null
 
 bench:
 	pytest benchmarks/ --benchmark-only

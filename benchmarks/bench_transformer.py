@@ -5,12 +5,11 @@ witness: GEMM-shaped candidate spaces keep the batch kernel's speedup, and
 the mapper's shape cache collapses a transformer's repeated encoder blocks
 into near-free lookups.  This bench times one BERT-base encoder block's
 unique layer shapes through both cost-model paths (winner parity asserted
-per shape), then maps the full 12-block model to record the cache leverage.
+per shape), with enumeration timed as its own stage, then maps the full
+12-block model to record the cache leverage.
 """
 
 import time
-
-import pytest
 
 from conftest import bench_profile
 from repro.analysis.reporting import format_table
@@ -49,7 +48,6 @@ def _best_of(fn, *args):
     return best, value
 
 
-@pytest.mark.skipif(not batch.numpy_available(), reason="numpy backend unavailable")
 def test_transformer_gemm_throughput(record_bench):
     hw = build_hardware(4, 8, 8, 8)
     profile = bench_profile()
@@ -57,22 +55,25 @@ def test_transformer_gemm_throughput(record_bench):
     space = MappingSpace(hw, profile)
 
     rows = []
-    total_candidates = scalar_time = batch_time = 0.0
+    total_candidates = enum_time = scalar_time = batch_time = 0.0
     for layer in layers:
-        candidates = space.unique_candidates(layer)
+        t_enum, candidates = _best_of(space.unique_candidates, layer)
         if not candidates:
             continue
-        t_scalar, (scalar_winner, _) = _best_of(_scalar_pass, layer, hw, candidates)
+        mappings = list(candidates)
+        t_scalar, (scalar_winner, _) = _best_of(_scalar_pass, layer, hw, mappings)
         t_batch, result = _best_of(batch.evaluate_batch, layer, hw, candidates)
         assert result.best_index("energy") == scalar_winner
         n = len(candidates)
         total_candidates += n
+        enum_time += t_enum
         scalar_time += t_scalar
         batch_time += t_batch
         rows.append(
             [
                 layer.name,
                 str(n),
+                f"{n / t_enum:,.0f}",
                 f"{n / t_scalar:,.0f}",
                 f"{n / t_batch:,.0f}",
                 f"{t_scalar / t_batch:.1f}x",
@@ -84,13 +85,14 @@ def test_transformer_gemm_throughput(record_bench):
         [
             "total",
             f"{total_candidates:.0f}",
+            f"{total_candidates / enum_time:,.0f}",
             f"{total_candidates / scalar_time:,.0f}",
             f"{total_candidates / batch_time:,.0f}",
             f"{speedup:.1f}x",
         ]
     )
     table = format_table(
-        ["Layer", "Candidates", "Scalar cand/s", "Batch cand/s", "Speedup"],
+        ["Layer", "Candidates", "Enum cand/s", "Scalar cand/s", "Batch cand/s", "Speedup"],
         rows,
         title=(
             "Transformer GEMM cost-model throughput "
@@ -99,6 +101,7 @@ def test_transformer_gemm_throughput(record_bench):
     )
     record_bench("transformer_gemm", table)
     record_bench.values(
+        gemm_enum_candidates_per_s=total_candidates / enum_time,
         gemm_scalar_candidates_per_s=total_candidates / scalar_time,
         gemm_batch_candidates_per_s=total_candidates / batch_time,
         gemm_speedup=speedup,

@@ -31,24 +31,23 @@ minimum, which is exactly the first-in-enumeration winner the scalar loop
 keeps on ties.
 
 ``REPRO_BATCH_KERNEL=0`` (or ``false``/``off``/``no``) opts out and forces
-the scalar path everywhere; the kernel is the default when numpy imports.
+the scalar path everywhere; the kernel is the default.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-try:  # numpy is a hard dependency of the package, but stay importable without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via _set_numpy_for_tests
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import obs
 from repro.arch.config import HardwareConfig
 from repro.arch.energy import EnergyModel
 from repro.core.mapping import Mapping
-from repro.core.primitives import PartitionDim, RotationKind
+from repro.core.primitives import LoopOrder, PartitionDim, RotationKind
+from repro.core.space import CANDIDATE_COLUMNS, CandidateTable
 from repro.errors import ConfigError, ResourceExhaustedError
 from repro.workloads.layer import ConvLayer
 
@@ -109,15 +108,8 @@ def batch_chunk_candidates() -> int | None:
     return max(1, value // _BATCH_BYTES_PER_CANDIDATE)
 
 
-def numpy_available() -> bool:
-    """Whether the numpy backend imported."""
-    return np is not None
-
-
 def batch_kernel_enabled() -> bool:
-    """The effective on/off switch (numpy present and env not opted out)."""
-    if np is None:
-        return False
+    """The effective on/off switch (``REPRO_BATCH_KERNEL`` not opted out)."""
     raw = os.environ.get(BATCH_KERNEL_ENV, "").strip().lower()
     if not raw:
         return True
@@ -135,7 +127,7 @@ class BatchResult:
     anyway; only the masked score selects winners.
     """
 
-    candidates: list[Mapping]
+    candidates: Sequence[Mapping]
     valid: "np.ndarray"
 
     # C3P walk outputs (bits / factors, float64)
@@ -228,37 +220,35 @@ def _ceil_div(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
     return -(-a // b)
 
 
-def _encode(candidates: list[Mapping]) -> dict[str, "np.ndarray"]:
-    """Columnar int64 encoding of the mapping list."""
-    n = len(candidates)
-    names = (
-        "pkg_co_ways", "pkg_rows", "pkg_cols", "pkg_is_channel",
-        "pkg_tile_h", "pkg_tile_w", "pkg_tile_co", "pkg_order_channel",
-        "chp_co_ways", "chp_rows", "chp_cols",
-        "chp_tile_h", "chp_tile_w", "chp_order_channel",
-        "rot_activations", "rot_weights",
-    )
-    cols = {name: np.empty(n, dtype=np.int64) for name in names}
-    for i, m in enumerate(candidates):
-        pkg, pt = m.package_spatial, m.package_temporal
-        chp, ct = m.chiplet_spatial, m.chiplet_temporal
-        cols["pkg_co_ways"][i] = pkg.co_ways
-        cols["pkg_rows"][i] = pkg.grid.rows
-        cols["pkg_cols"][i] = pkg.grid.cols
-        cols["pkg_is_channel"][i] = pkg.dim is PartitionDim.CHANNEL
-        cols["pkg_tile_h"][i] = pt.tile_h
-        cols["pkg_tile_w"][i] = pt.tile_w
-        cols["pkg_tile_co"][i] = pt.tile_co
-        cols["pkg_order_channel"][i] = pt.order.value == "channel"
-        cols["chp_co_ways"][i] = chp.co_ways
-        cols["chp_rows"][i] = chp.grid.rows
-        cols["chp_cols"][i] = chp.grid.cols
-        cols["chp_tile_h"][i] = ct.tile_h
-        cols["chp_tile_w"][i] = ct.tile_w
-        cols["chp_order_channel"][i] = ct.order.value == "channel"
-        cols["rot_activations"][i] = m.rotation is RotationKind.ACTIVATIONS
-        cols["rot_weights"][i] = m.rotation is RotationKind.WEIGHTS
-    return cols
+def _encode(candidates: Sequence[Mapping]) -> dict[str, "np.ndarray"]:
+    """Columnar int64 encoding of an explicit mapping list.
+
+    A :class:`~repro.core.space.CandidateTable` already carries these
+    columns; this builds them for any other sequence of mappings.
+    """
+    rows = [
+        (
+            m.package_spatial.co_ways,
+            m.package_spatial.grid.rows,
+            m.package_spatial.grid.cols,
+            m.package_spatial.dim is PartitionDim.CHANNEL,
+            m.package_temporal.tile_h,
+            m.package_temporal.tile_w,
+            m.package_temporal.tile_co,
+            m.package_temporal.order is LoopOrder.CHANNEL_PRIORITY,
+            m.chiplet_spatial.co_ways,
+            m.chiplet_spatial.grid.rows,
+            m.chiplet_spatial.grid.cols,
+            m.chiplet_temporal.tile_h,
+            m.chiplet_temporal.tile_w,
+            m.chiplet_temporal.order is LoopOrder.CHANNEL_PRIORITY,
+            m.rotation is RotationKind.ACTIVATIONS,
+            m.rotation is RotationKind.WEIGHTS,
+        )
+        for m in candidates
+    ]
+    block = np.array(rows, dtype=np.int64).reshape(len(rows), len(CANDIDATE_COLUMNS)).T
+    return dict(zip(CANDIDATE_COLUMNS, block))
 
 
 def _input_channels_for(layer: ConvLayer, out_channels: "np.ndarray") -> "np.ndarray":
@@ -311,20 +301,23 @@ def _level_slots(
 
 
 def evaluate_batch(
-    layer: ConvLayer, hw: HardwareConfig, candidates: list[Mapping]
+    layer: ConvLayer, hw: HardwareConfig, candidates: Sequence[Mapping]
 ) -> BatchResult:
     """Evaluate every candidate mapping of one (layer, hw) in one pass.
 
+    A :class:`~repro.core.space.CandidateTable` is read through its
+    columns; any other sequence is encoded mapping by mapping first.
+
     Raises:
-        RuntimeError: When numpy is unavailable.
         BatchOverflowError: When an int64 product would leave the exact
             range (callers fall back to the scalar oracle).
     """
-    if np is None:
-        raise RuntimeError("numpy is required for the batch kernel")
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    cols = _encode(candidates)
+    if isinstance(candidates, CandidateTable):
+        cols = candidates.columns
+    else:
+        cols = _encode(candidates)
     tech = hw.tech
     data_bytes = tech.data_bits / 8.0
     data_bits = tech.data_bits
@@ -610,14 +603,14 @@ BATCH_OBJECTIVES = {
 def search_batch(
     layer: ConvLayer,
     hw: HardwareConfig,
-    candidates: list[Mapping],
+    candidates: Sequence[Mapping],
     objective: str = "energy_objective",
 ) -> BatchSearchOutcome | None:
     """Batch-evaluate ``candidates`` and pick the scalar-identical winner.
 
     Returns ``None`` when the kernel cannot guarantee bit-identity for this
-    call (unknown objective, empty candidate list, numpy missing, or the
-    int64 exactness guard tripping) -- callers then run the scalar loop.
+    call (unknown objective, empty candidate list, or the int64 exactness
+    guard tripping) -- callers then run the scalar loop.
 
     When ``REPRO_BATCH_MAX_BYTES`` caps the working set, the list is
     evaluated in chunks.  Chunking cannot change any per-candidate value
@@ -628,7 +621,7 @@ def search_batch(
     every chunk size.
     """
     scorer = BATCH_OBJECTIVES.get(objective)
-    if scorer is None or np is None or not candidates:
+    if scorer is None or not candidates:
         return None
     chunk = batch_chunk_candidates()
     if chunk is None or chunk >= len(candidates):

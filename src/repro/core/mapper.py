@@ -86,12 +86,12 @@ def _shape_key(layer: ConvLayer) -> tuple:
 def _search_layer_task(layer: ConvLayer) -> LayerMappingResult:
     """Worker: search one layer with the context's (hw, profile, objective).
 
-    Runs in a pool process with a private in-memory cache; the parent
-    harvests the result into its shared cache.
+    Runs in a pool process and bypasses the cache; the parent's serial
+    pass files the result under its own hit/miss accounting.
     """
     hw, profile, objective = worker_context()
     mapper = Mapper(hw=hw, profile=profile, objective=objective, cache=MappingCache())
-    return mapper.search_layer(layer)
+    return mapper._search_fresh(layer)
 
 
 @dataclass
@@ -130,6 +130,9 @@ class Mapper:
             self._batch_objective = "edp_objective"
         else:
             self._batch_objective = None
+        # Results searched ahead by the parallel prefetch, keyed like the
+        # cache; the serial pass takes each one in place of a fresh search.
+        self._prefetched: dict[str, LayerMappingResult] = {}
 
     def _key(self, layer: ConvLayer) -> str:
         """The cache key of one layer on this (hw, profile, objective)."""
@@ -183,7 +186,11 @@ class Mapper:
         if cached is not None:
             return self._relabel(cached, layer)
 
-        result = self._search_fresh(layer)
+        result = self._prefetched.pop(key, None)
+        if result is None:
+            result = self._search_fresh(layer)
+        else:
+            result = self._relabel(result, layer)
         self.cache.put(
             key,
             result,
@@ -198,13 +205,16 @@ class Mapper:
     def _search_fresh(self, layer: ConvLayer) -> LayerMappingResult:
         """The exhaustive candidate scan (cache-oblivious).
 
-        The struct-of-arrays batch kernel (:mod:`repro.core.batch`) scores
-        every candidate in one numpy pass when it can guarantee bit-identity
-        with the scalar loop (known objective, ``REPRO_BATCH_KERNEL`` not
-        opted out); the winner's full :class:`CostReport` then comes from a
-        single scalar ``evaluate_mapping`` call.  Otherwise the scalar
-        strict-``<`` scan below is the path -- it stays the golden oracle
-        either way (see ``tests/properties/test_batch_kernel.py``).
+        The space comes back as a columnar
+        :class:`~repro.core.space.CandidateTable`.  The struct-of-arrays
+        batch kernel (:mod:`repro.core.batch`) scores its columns in one
+        numpy pass when it can guarantee bit-identity with the scalar loop
+        (known objective, ``REPRO_BATCH_KERNEL`` not opted out); only the
+        winner is rebuilt as a :class:`Mapping`, and its full
+        :class:`CostReport` comes from a single scalar ``evaluate_mapping``
+        call.  Otherwise the scalar strict-``<`` scan below iterates the
+        same table in the same order -- it stays the golden oracle either
+        way (see ``tests/properties/test_batch_kernel.py``).
 
         Candidate counters are batched into one pair of ``obs.count`` calls
         after the scan, so the per-candidate hot loop carries no
@@ -267,13 +277,18 @@ class Mapper:
         policy: TaskPolicy | None = None,
         stats: SweepStats | None = None,
     ) -> None:
-        """Search uncached unique shapes in parallel and fill the cache.
+        """Search uncached unique shapes in parallel ahead of the serial pass.
+
+        Results land in ``_prefetched``, not the cache: the serial
+        per-layer pass then counts each layer's lookup exactly as a
+        ``jobs=1`` run does (the first of a shape misses, the rest hit) and
+        files the prefetched result where it would have searched.
 
         Falls back to doing nothing (the serial per-layer path takes over)
         when fewer than two shapes are pending or the search context cannot
         cross a process boundary (e.g. a closure objective).  A shape whose
-        task failed under ``policy.on_error="skip"`` is simply not cached --
-        the serial per-layer pass re-searches it in-process.
+        task failed under ``policy.on_error="skip"`` is simply not
+        prefetched -- the serial pass re-searches it in-process.
         """
         pending: dict[str, ConvLayer] = {}
         for layer in layers:
@@ -285,11 +300,6 @@ class Mapper:
         context = (self.hw, self.profile, self.objective)
         if not is_picklable(context) or not is_picklable(list(pending.values())):
             return
-        for key in pending:
-            self.cache.misses += 1
-        # Mirror the manual miss accounting above (the workers' own cache
-        # counters stay private to their throwaway caches).
-        obs.count("cache.misses", len(pending))
         results = run_tasks(
             _search_layer_task,
             list(pending.values()),
@@ -299,17 +309,8 @@ class Mapper:
             stats=stats,
         )
         for key, result in zip(pending, results):
-            if isinstance(result, TaskFailure):
-                continue
-            self.cache.put(
-                key,
-                result,
-                record={
-                    "mapping": mapping_to_dict(result.mapping),
-                    "evaluated": result.candidates_evaluated,
-                    "invalid": result.candidates_invalid,
-                },
-            )
+            if not isinstance(result, TaskFailure):
+                self._prefetched[key] = result
 
     def search_model(
         self,
@@ -342,6 +343,7 @@ class Mapper:
                     self._prefetch(layers, effective, policy=policy, stats=stats)
                 results = [self.search_layer(layer) for layer in layers]
         finally:
+            self._prefetched.clear()
             if timer:
                 timer.__exit__(None, None, None)
         obs.count("mapper.layers.searched", len(layers))

@@ -14,13 +14,23 @@ Two profiles bound the enumeration:
   always preferred when data is shared (one DRAM access plus ``N_P - 1``
   ring hops is strictly cheaper than ``N_P`` DRAM accesses under Table I),
   and only the strongest tile shapes survive.
+
+The space is built as a :class:`CandidateTable` -- int64 columns, one row
+per candidate, in the batch kernel's encoding -- rather than one
+:class:`~repro.core.mapping.Mapping` object per candidate.  Congruence
+dedup runs over the same columns; a ``Mapping`` is rebuilt only when a
+caller indexes or iterates the table (the mapper rebuilds just its
+winner).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+
+import numpy as np
 
 from repro.arch.config import HardwareConfig
 from repro.core.mapping import Mapping
@@ -48,6 +58,32 @@ class SearchProfile(Enum):
     EXHAUSTIVE = "exhaustive"
     FAST = "fast"
     MINIMAL = "minimal"
+
+
+#: The batch kernel's int64 encoding of a mapping, one column per field.
+CANDIDATE_COLUMNS = (
+    "pkg_co_ways", "pkg_rows", "pkg_cols", "pkg_is_channel",
+    "pkg_tile_h", "pkg_tile_w", "pkg_tile_co", "pkg_order_channel",
+    "chp_co_ways", "chp_rows", "chp_cols",
+    "chp_tile_h", "chp_tile_w", "chp_order_channel",
+    "rot_activations", "rot_weights",
+)
+
+#: Rows of an enumerated block: the kernel columns, then the package and
+#: chiplet primitive indices and the rotation code a rebuild reads.
+_BLOCK = CANDIDATE_COLUMNS + ("pkg", "chp", "rotation")
+
+#: The block rows a :class:`Mapping` is rebuilt from, in argument order.
+_MAPPING_FIELDS = (
+    "pkg", "chp", "pkg_tile_h", "pkg_tile_w", "pkg_tile_co", "pkg_order_channel",
+    "chp_tile_h", "chp_tile_w", "chp_order_channel", "rotation",
+)
+
+_ROTATIONS = (RotationKind.NONE, RotationKind.ACTIVATIONS, RotationKind.WEIGHTS)
+_ROTATION_CODE = {kind: code for code, kind in enumerate(_ROTATIONS)}
+#: Indexed by an ``*_order_channel`` column value.
+_ORDERS = (LoopOrder.PLANE_PRIORITY, LoopOrder.CHANNEL_PRIORITY)
+_INT64_MAX = 2**63 - 1
 
 
 def _divisors(n: int) -> list[int]:
@@ -212,9 +248,9 @@ class MappingSpace:
         """Side of the largest square tile whose Cc0 fits the A-L1.
 
         Cc0 is one P-channel chunk of the tile's input window (the paper's
-        supplemental critical capacity).  Returns ``None`` when even a 1x1
-        tile overflows, or when the unconstrained largest tile already fits
-        (no separate candidate needed).
+        supplemental critical capacity).  The side doubles while the tile
+        stays within ``max_pixels`` and its Cc0 fits.  Returns ``None`` only
+        when even a 1x1 tile overflows the A-L1.
         """
         chunk = min(self.hw.vector_size, layer.ci)
         bytes_per = self.hw.tech.data_bits / 8.0
@@ -269,41 +305,85 @@ class MappingSpace:
 
     # --- enumeration ------------------------------------------------------------
 
-    def candidates(self, layer: ConvLayer) -> Iterator[Mapping]:
-        """Yield every candidate mapping for ``layer`` (unvalidated)."""
-        hw = self.hw
+    def _enumerate(
+        self, layer: ConvLayer
+    ) -> tuple["np.ndarray", list[SpatialPrimitive], list[SpatialPrimitive]]:
+        """Every candidate of ``layer`` as rows of an int64 block.
+
+        Python loops only over the (package, chiplet, core tile) combos;
+        the tile-multiplier x channel-multiplier x order x rotation product
+        under each combo is broadcast in the nested-loop order it replaces
+        (combo-major, rotation innermost).  Returns the ``(len(_BLOCK),
+        n)`` block plus the distinct package and chiplet primitives its
+        index rows point into.
+        """
+        lanes = self.hw.lanes
+        packages: dict[SpatialPrimitive, int] = {}
+        chiplets: dict[SpatialPrimitive, int] = {}
+        rotations: list[list[int]] = []
+        combos: list[tuple[int, ...]] = []
         for package in self.package_spatials(layer):
             macro_ho = ceil_div(layer.ho, package.grid.rows)
             macro_wo = ceil_div(layer.wo, package.grid.cols)
             macro_co = ceil_div(layer.co, package.co_ways)
+            pkg_id = packages.setdefault(package, len(packages))
+            if pkg_id == len(rotations):
+                rotations.append([_ROTATION_CODE[r] for r in self.rotations(package)])
+            pkg_fields = (
+                pkg_id, package.co_ways, package.grid.rows, package.grid.cols,
+                package.dim is PartitionDim.CHANNEL, macro_ho, macro_wo, macro_co,
+            )
             for chiplet in self.chiplet_spatials(layer, package):
-                share_cap_ho = ceil_div(macro_ho, chiplet.grid.rows)
-                share_cap_wo = ceil_div(macro_wo, chiplet.grid.cols)
+                chp_id = chiplets.setdefault(chiplet, len(chiplets))
+                rows, cols, co_ways = chiplet.grid.rows, chiplet.grid.cols, chiplet.co_ways
+                share_cap_ho = ceil_div(macro_ho, rows)
+                share_cap_wo = ceil_div(macro_wo, cols)
                 for core_ho, core_wo in self.core_tiles(layer, share_cap_ho, share_cap_wo):
-                    for mult_h in self.tile_multipliers():
-                        tile_ho = min(core_ho * chiplet.grid.rows * mult_h, macro_ho)
-                        for mult_w in self.tile_multipliers():
-                            tile_wo = min(core_wo * chiplet.grid.cols * mult_w, macro_wo)
-                            for mult_c in self.channel_multipliers():
-                                tile_co = min(
-                                    chiplet.co_ways * hw.lanes * mult_c, macro_co
-                                )
-                                for pkg_order, chip_order in self.orders():
-                                    for rotation in self.rotations(package):
-                                        yield Mapping(
-                                            package_spatial=package,
-                                            package_temporal=TemporalPrimitive(
-                                                pkg_order, tile_ho, tile_wo, tile_co
-                                            ),
-                                            chiplet_spatial=chiplet,
-                                            chiplet_temporal=TemporalPrimitive(
-                                                chip_order,
-                                                core_ho,
-                                                core_wo,
-                                                min(hw.lanes, tile_co),
-                                            ),
-                                            rotation=rotation,
-                                        )
+                    combos.append(
+                        pkg_fields + (chp_id, co_ways, rows, cols, core_ho, core_wo)
+                    )
+        n_rot = max(len(r) for r in rotations)
+        rotation_table = np.array(
+            [r + [-1] * (n_rot - len(r)) for r in rotations], dtype=np.int64
+        )
+        orders = [
+            (pkg_order is LoopOrder.CHANNEL_PRIORITY, chp_order is LoopOrder.CHANNEL_PRIORITY)
+            for pkg_order, chp_order in self.orders()
+        ]
+        inner = np.array(
+            [
+                (mult_h, mult_w, mult_c, pkg_order, chp_order, slot)
+                for mult_h in self.tile_multipliers()
+                for mult_w in self.tile_multipliers()
+                for mult_c in self.channel_multipliers()
+                for pkg_order, chp_order in orders
+                for slot in range(n_rot)
+            ],
+            dtype=np.int64,
+        ).T
+        (
+            pkg, pkg_co_ways, pkg_rows, pkg_cols, pkg_is_channel,
+            macro_ho, macro_wo, macro_co,
+            chp, chp_co_ways, chp_rows, chp_cols, core_ho, core_wo,
+        ) = np.repeat(np.array(combos, dtype=np.int64).T, inner.shape[1], axis=1)
+        mult_h, mult_w, mult_c, pkg_order, chp_order, slot = np.tile(inner, len(combos))
+        rotation = rotation_table[pkg, slot]
+        block = np.stack(
+            [
+                pkg_co_ways, pkg_rows, pkg_cols, pkg_is_channel,
+                np.minimum(core_ho * chp_rows * mult_h, macro_ho),
+                np.minimum(core_wo * chp_cols * mult_w, macro_wo),
+                np.minimum(chp_co_ways * lanes * mult_c, macro_co),
+                pkg_order,
+                chp_co_ways, chp_rows, chp_cols, core_ho, core_wo, chp_order,
+                rotation == _ROTATION_CODE[RotationKind.ACTIVATIONS],
+                rotation == _ROTATION_CODE[RotationKind.WEIGHTS],
+                pkg, chp, rotation,
+            ]
+        )
+        if n_rot > 1 and (rotation_table < 0).any():
+            block = block[:, rotation >= 0]
+        return block, list(packages), list(chiplets)
 
     def congruence_key(self, layer: ConvLayer, mapping: Mapping) -> tuple:
         """The cost-determining signature of ``mapping`` on ``layer``.
@@ -334,27 +414,120 @@ class MappingSpace:
             nest.core_co,
         )
 
-    def unique_candidates(self, layer: ConvLayer) -> list[Mapping]:
+    def unique_candidates(self, layer: ConvLayer) -> "CandidateTable":
         """Candidates deduplicated up to cost-model congruence.
 
-        Keeps the *first* representative of each congruence class
-        (order-preserving, like :func:`_dedupe`), so the mapper's
-        strict-``<`` minimum selects the same winning mapping object it
+        One vectorized keep-first pass over the columns of
+        :meth:`congruence_key` -- the spatial primitives, rotation and loop
+        orders, and the clamped tile/core extents a
+        :class:`~repro.core.loopnest.LoopNest` would derive -- keeps the
+        *first* representative of each class in enumeration order, so the
+        mapper's strict-``<`` minimum selects the same winning mapping it
         always did.  The number of discarded congruent candidates is
         exported as the ``space.candidates.deduped`` obs counter.
         """
         from repro import obs
 
-        seen: set[tuple] = set()
-        out: list[Mapping] = []
-        dropped = 0
-        for mapping in self.candidates(layer):
-            key = self.congruence_key(layer, mapping)
-            if key in seen:
-                dropped += 1
-                continue
-            seen.add(key)
-            out.append(mapping)
+        block, packages, chiplets = self._enumerate(layer)
+        c = dict(zip(_BLOCK, block))
+        tile_ho, tile_wo, tile_co = c["pkg_tile_h"], c["pkg_tile_w"], c["pkg_tile_co"]
+        key = (
+            c["pkg"], c["chp"], c["rotation"], c["pkg_order_channel"], c["chp_order_channel"],
+            tile_ho, tile_wo, tile_co,
+            np.minimum(c["chp_tile_h"], -(-tile_ho // c["chp_rows"])),
+            np.minimum(c["chp_tile_w"], -(-tile_wo // c["chp_cols"])),
+            np.minimum(self.hw.lanes, -(-tile_co // c["chp_co_ways"])),
+        )
+        kept = _first_occurrences(key)
+        dropped = block.shape[1] - len(kept)
         if dropped:
             obs.count("space.candidates.deduped", dropped)
-        return out
+            block = block[:, kept]
+        return CandidateTable(block, packages, chiplets, self.hw.lanes)
+
+
+def _first_occurrences(key: tuple["np.ndarray", ...]) -> "np.ndarray":
+    """Ascending row indices of the first row of each distinct key.
+
+    The non-negative key columns pack into one int64 when their ranges
+    allow, so the dedup is a single 1-D ``np.unique``; its stable sort
+    returns each key's first occurrence.
+    """
+    radices = [int(col.max()) + 1 for col in key]
+    if math.prod(radices) <= _INT64_MAX:
+        packed = key[0]
+        for col, radix in zip(key[1:], radices[1:]):
+            packed = packed * radix + col
+        _, first = np.unique(packed, return_index=True)
+    else:
+        _, first = np.unique(np.stack(key, axis=1), axis=0, return_index=True)
+    first.sort()
+    return first
+
+
+class CandidateTable(Sequence[Mapping]):
+    """A mapping space as int64 columns, one row per candidate.
+
+    :attr:`columns` holds the batch kernel's struct-of-arrays encoding
+    (:data:`CANDIDATE_COLUMNS`), so a search scores the whole space
+    without building a :class:`Mapping` per candidate.  Indexing or
+    iterating rebuilds mappings on demand, equal to the ones the nested
+    enumeration loops used to build; slicing returns a table.
+    """
+
+    __slots__ = ("columns", "_block", "_rows", "_packages", "_chiplets", "_lanes")
+
+    def __init__(
+        self,
+        block: "np.ndarray",
+        packages: list[SpatialPrimitive],
+        chiplets: list[SpatialPrimitive],
+        lanes: int,
+    ) -> None:
+        self._block = block
+        self._rows = dict(zip(_BLOCK, block))
+        self.columns: dict[str, "np.ndarray"] = {
+            name: self._rows[name] for name in CANDIDATE_COLUMNS
+        }
+        self._packages = packages
+        self._chiplets = chiplets
+        self._lanes = lanes
+
+    def __len__(self) -> int:
+        return self._block.shape[1]
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return CandidateTable(
+                self._block[:, index], self._packages, self._chiplets, self._lanes
+            )
+        row = range(len(self))[index]  # normalizes negatives, raises IndexError
+        return self._mapping(*(int(self._rows[name][row]) for name in _MAPPING_FIELDS))
+
+    def __iter__(self) -> Iterator[Mapping]:
+        fields = [self._rows[name].tolist() for name in _MAPPING_FIELDS]
+        for values in zip(*fields):
+            yield self._mapping(*values)
+
+    def _mapping(
+        self,
+        pkg: int,
+        chp: int,
+        tile_h: int,
+        tile_w: int,
+        tile_co: int,
+        pkg_order: int,
+        core_h: int,
+        core_w: int,
+        chp_order: int,
+        rotation: int,
+    ) -> Mapping:
+        return Mapping(
+            package_spatial=self._packages[pkg],
+            package_temporal=TemporalPrimitive(_ORDERS[pkg_order], tile_h, tile_w, tile_co),
+            chiplet_spatial=self._chiplets[chp],
+            chiplet_temporal=TemporalPrimitive(
+                _ORDERS[chp_order], core_h, core_w, min(self._lanes, tile_co)
+            ),
+            rotation=_ROTATIONS[rotation],
+        )

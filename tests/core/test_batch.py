@@ -23,10 +23,6 @@ from repro.core.primitives import (
 from repro.core.space import SearchProfile
 from repro.workloads.layer import ConvLayer
 
-pytestmark = pytest.mark.skipif(
-    not batch.numpy_available(), reason="numpy backend unavailable"
-)
-
 
 def small_layer(name="conv"):
     return ConvLayer(name, h=28, w=28, ci=32, co=64, kh=3, kw=3, stride=1, padding=1)

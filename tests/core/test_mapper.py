@@ -77,3 +77,43 @@ class TestSearchModel:
         exhaustive = Mapper(hw=hw, profile=SearchProfile.EXHAUSTIVE).search_layer(layer)
         minimal = Mapper(hw=hw, profile=SearchProfile.MINIMAL).search_layer(layer)
         assert exhaustive.best.energy_pj <= minimal.best.energy_pj + 1e-6
+
+
+class TestCacheAccountingIsJobsInvariant:
+    def _run(self, layers, jobs):
+        from repro import obs
+        from repro.core.cache import MappingCache
+        from repro.core.parallel import SweepStats
+
+        stats = SweepStats()
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            Mapper(
+                hw=case_study_hardware(),
+                profile=SearchProfile.MINIMAL,
+                cache=MappingCache(),
+            ).search_model(layers, jobs=jobs, stats=stats)
+        counters = {
+            name: value
+            for name, value in recorder.metrics.counters().items()
+            if name.startswith("cache.")
+        }
+        return stats.cache_hits, stats.cache_misses, counters
+
+    def test_each_layer_counted_once_at_every_job_count(self):
+        """A prefetched shape is one miss, not a miss plus a hit."""
+        shapes = [
+            ConvLayer("a", h=28, w=28, ci=32, co=64, kh=3, kw=3, padding=1),
+            ConvLayer("b", h=14, w=14, ci=64, co=64, kh=1, kw=1),
+            ConvLayer("c", h=7, w=7, ci=64, co=128, kh=3, kw=3, padding=1),
+        ]
+        layers = [
+            ConvLayer(f"{shape.name}{i}", h=shape.h, w=shape.w, ci=shape.ci,
+                      co=shape.co, kh=shape.kh, kw=shape.kw, padding=shape.padding)
+            for i in range(3)
+            for shape in shapes
+        ]
+        serial = self._run(layers, jobs=1)
+        assert serial[:2] == (6, 3)
+        assert serial[2]["cache.hits"] == 6 and serial[2]["cache.misses"] == 3
+        assert self._run(layers, jobs=2) == serial

@@ -16,7 +16,6 @@ exact ``==``, never ``approx``:
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,10 +33,6 @@ from repro.core.space import MappingSpace, SearchProfile
 from repro.core.traffic import weight_group_size
 from repro.workloads.layer import ConvLayer, matmul
 from repro.workloads.transformer import AttentionLayer
-
-pytestmark = pytest.mark.skipif(
-    not batch.numpy_available(), reason="numpy backend unavailable"
-)
 
 MAX_EXAMPLES = 25
 

@@ -23,6 +23,7 @@ from repro.core.dse import DesignSpace, _evaluate_point
 from repro.core.search import GuidedStrategy, edp_lower_bound, guided_explore
 from repro.core.space import MappingSpace, SearchProfile
 from repro.workloads.layer import ConvLayer
+from tests.properties import space_oracle
 
 PROP_SPACE = DesignSpace(
     vector_sizes=(2, 4),
@@ -93,14 +94,15 @@ class TestDedupCongruence:
     def test_congruent_candidates_cost_identically(self, hw, layer):
         """Every congruence class is cost-homogeneous.
 
-        Group the *raw* candidate stream by congruence key and evaluate
+        Group the *raw* candidate stream (the nested-loop oracle, before
+        any dedup) by the scalar congruence key and evaluate
         every member: all members of a class must either all be invalid
         or all produce the same (energy, cycles, utilization) triple --
         which is what makes keep-first dedup result-preserving.
         """
         space = MappingSpace(hw, SearchProfile.MINIMAL)
         classes: dict[tuple, list] = {}
-        for mapping in space.candidates(layer):
+        for mapping in space_oracle.candidates(space, layer):
             classes.setdefault(
                 space.congruence_key(layer, mapping), []
             ).append(mapping)
@@ -126,7 +128,8 @@ class TestDedupCongruence:
         keys = [space.congruence_key(layer, m) for m in unique]
         assert len(keys) == len(set(keys))
         all_keys = {
-            space.congruence_key(layer, m) for m in space.candidates(layer)
+            space.congruence_key(layer, m)
+            for m in space_oracle.candidates(space, layer)
         }
         assert set(keys) == all_keys
 
