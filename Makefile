@@ -206,11 +206,13 @@ batch-parity:
 	echo "batch kernel byte-identical on the exhaustive post-design search (resnet50)"
 
 # Guard for the repository benchmark (perfbench/): its own self-tests, then
-# one short traced map-cold run.  Fails when a refactor removes a name the
-# tracer wraps or when any pinned answer drifts.
+# short traced map-cold and sweep-cold runs (the latter drives the sweep's
+# per-family plans).  Fails when a refactor removes a name the tracer wraps
+# or when any pinned answer drifts.
 perfbench-smoke:
 	python3 perfbench/selftest.py
 	python3 perfbench/run.py --workload map-cold --seconds 1 --trace 1 >/dev/null
+	python3 perfbench/run.py --workload sweep-cold --seconds 1 --trace 1 >/dev/null
 
 bench:
 	pytest benchmarks/ --benchmark-only

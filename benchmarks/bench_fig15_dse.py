@@ -5,7 +5,7 @@ ResNet-50@512, DarkNet-19@224) over the Table II space under a 3 mm^2
 chiplet area constraint, and reports the per-benchmark optimum's computation
 and memory allocation.
 
-The full memory sweep takes tens of minutes on one core; the default run
+The full memory sweep takes about two minutes on one core; the default run
 subsamples it with REPRO_FIG15_STRIDE=4 (the structural sweep size is
 reported either way).
 """

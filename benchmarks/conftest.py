@@ -9,7 +9,7 @@ Environment knobs:
 * ``REPRO_BENCH_PROFILE`` -- mapping-search profile for the heavy benches
   (``exhaustive`` / ``fast`` / ``minimal``; default ``fast``).
 * ``REPRO_FIG15_STRIDE`` -- memory-sweep subsampling for the Figure 15 DSE
-  (default 4; 1 reproduces the full sweep and takes tens of minutes).
+  (default 4; 1 reproduces the full sweep and takes about two minutes).
 * ``REPRO_JOBS`` -- worker processes for the DSE sweeps (default serial;
   ``0`` uses every core).  Sweep results are bit-identical at every count.
 * ``REPRO_CACHE_DIR`` -- persist the mapping cache across runs.

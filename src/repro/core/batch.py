@@ -9,6 +9,12 @@ loop-nest bounds, spatial primitives, rotation/order codes) and the three
 C3P walks, the traffic assembly and the energy/cycles/EDP scalarization run
 over all rows at once.
 
+The work splits where the W-L1 and A-L2 sizes first enter:
+:func:`family_prefix` derives everything that reads neither, and
+:func:`evaluate_batch` adds the two budget comparisons, the traffic and the
+energy.  A sweep's :class:`FamilyPlans` memo reuses one prefix (and one
+candidate table) across every W-L1 x A-L2 point of a family.
+
 **Bit-identity contract.**  The scalar path is the golden oracle; this
 kernel must agree with it to the last float.  Three rules make that hold:
 
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +53,12 @@ from repro.arch.config import HardwareConfig
 from repro.arch.energy import EnergyModel
 from repro.core.mapping import Mapping
 from repro.core.primitives import LoopOrder, PartitionDim, RotationKind
-from repro.core.space import CANDIDATE_COLUMNS, CandidateTable
+from repro.core.space import (
+    CANDIDATE_COLUMNS,
+    CandidateTable,
+    MappingSpace,
+    SearchProfile,
+)
 from repro.errors import ConfigError, ResourceExhaustedError
 from repro.workloads.layer import ConvLayer
 
@@ -300,24 +311,27 @@ def _level_slots(
     ]
 
 
-def evaluate_batch(
-    layer: ConvLayer, hw: HardwareConfig, candidates: Sequence[Mapping]
-) -> BatchResult:
-    """Evaluate every candidate mapping of one (layer, hw) in one pass.
+#: The family-invariant part of the kernel (see :func:`family_prefix`):
+#: named read-only per-candidate arrays, or tuples of them, one per walk
+#: slot.
+Prefix = dict[str, "np.ndarray | tuple[np.ndarray, ...]"]
 
-    A :class:`~repro.core.space.CandidateTable` is read through its
-    columns; any other sequence is encoded mapping by mapping first.
 
-    Raises:
-        BatchOverflowError: When an int64 product would leave the exact
-            range (callers fall back to the scalar oracle).
+def family_prefix(
+    layer: ConvLayer, hw: HardwareConfig, cols: dict[str, "np.ndarray"]
+) -> Prefix:
+    """Everything the kernel derives without reading W-L1 or A-L2 size.
+
+    The loop nest, the validity mask, the whole A-L1 walk, the working
+    sets the weight and A-L2 walks compare against their budgets, the
+    budget-free traffic and energy terms, the cycles and the int64 guard
+    estimates depend only on the layer, the candidate columns and the
+    machine's compute tuple, O-L1, A-L1, O-L2, technology and topology.
+    Every point of one W-L1 x A-L2 family therefore shares them
+    (:class:`FamilyPlans`).  Every value is an elementwise function of its
+    candidate row, so :func:`slice_prefix` of a table's prefix equals the
+    prefix of the table's slice.
     """
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    if isinstance(candidates, CandidateTable):
-        cols = candidates.columns
-    else:
-        cols = _encode(candidates)
     tech = hw.tech
     data_bytes = tech.data_bits / 8.0
     data_bits = tech.data_bits
@@ -342,6 +356,7 @@ def evaluate_batch(
     c2 = _ceil_div(macro_co, tile_co)
     w2 = _ceil_div(macro_wo, tile_wo)
     h2 = _ceil_div(macro_ho, tile_ho)
+    n = len(macro_ho)
 
     pkg_grid_ways = cols["pkg_rows"] * cols["pkg_cols"]
     pkg_ways = cols["pkg_co_ways"] * pkg_grid_ways
@@ -368,22 +383,20 @@ def evaluate_batch(
     invalid |= cols["chp_co_ways"] > macro_co
     invalid |= (cols["pkg_rows"] > layer.ho) | (cols["pkg_cols"] > layer.wo)
     invalid |= (cols["chp_rows"] > tile_ho) | (cols["chp_cols"] > tile_wo)
-    valid = ~invalid
 
-    # --- weight-buffer C3P walk (analyze_weight_buffer) ---------------------
+    # --- weight-buffer C3P walk, budget-free part (analyze_weight_buffer) ---
+    # The working set each slot compares with the W-L1 budget; -inf on
+    # channel slots, which never penalize.
     weight_elements = layer.kh * layer.kw * layer.ci_per_group * core_co
     block_bytes = weight_elements * data_bytes
-    weight_buffer = (hw.memory.w_l1_bytes * chp_grid_ways).astype(np.float64)
-    working_set = block_bytes.copy()
-    weight_reload = np.ones(len(candidates), dtype=np.float64)
+    working_set = block_bytes
+    weight_ws = []
     for kind, count in slots:
         is_c = kind == _KIND_C
-        penalized = ~is_c & (weight_buffer < working_set)
-        weight_reload = np.where(penalized, weight_reload * count, weight_reload)
+        weight_ws.append(np.where(is_c, -np.inf, working_set))
         working_set = np.where(is_c, working_set * count, working_set)
     total_channel = c1 * c2
     weight_a0_bits = block_bytes * 8.0 * total_channel
-    weight_fill_bits = weight_a0_bits * weight_reload
 
     # --- A-L1 C3P walk (analyze_activation_l1) ------------------------------
     block_channels = _input_channels_for(layer, core_co)
@@ -392,9 +405,9 @@ def evaluate_batch(
     a_l1_budget = float(hw.memory.a_l1_bytes)
     kernel_sweep = float(layer.kh * layer.kw)
     a_l1_reload = np.where(a_l1_budget >= cc0, 1.0, kernel_sweep)
-    out_rows, out_cols = core_ho.copy(), core_wo.copy()
-    channel_multiplicity = np.ones(len(candidates), dtype=np.int64)
-    ci_col = np.full(len(candidates), layer.ci, dtype=np.int64)
+    out_rows, out_cols = core_ho, core_wo
+    channel_multiplicity = np.ones(n, dtype=np.int64)
+    ci_col = np.full(n, layer.ci, dtype=np.int64)
     for kind, count in slots:
         is_c = kind == _KIND_C
         if grouped:
@@ -419,22 +432,24 @@ def evaluate_batch(
     )
     a_l1_fill_bits = a_l1_a0_bits * a_l1_reload
 
-    # --- A-L2 C3P walk (analyze_activation_l2: level-2 loops only) ----------
+    # --- A-L2 C3P walk, budget-free part (analyze_activation_l2) ------------
+    # Level-2 loops only; the working set each channel slot compares with
+    # the A-L2 budget, -inf where nothing can penalize (grouped layers
+    # never do).
     tile_channels = _input_channels_for(layer, tile_co)
-    a_l2_budget = float(hw.memory.a_l2_bytes)
-    a_l2_reload = np.ones(len(candidates), dtype=np.float64)
-    out_rows, out_cols = tile_ho.copy(), tile_wo.copy()
-    channel_multiplicity2 = np.ones(len(candidates), dtype=np.int64)
-    for kind, count in _level_slots(cols["pkg_order_channel"], c2, w2, h2):
+    a_l2_ws = []
+    out_rows, out_cols = tile_ho, tile_wo
+    channel_multiplicity2 = np.ones(n, dtype=np.int64)
+    for kind, count in slots[3:]:
         is_c = kind == _KIND_C
         if grouped:
             channel_multiplicity2 = np.where(
                 is_c, channel_multiplicity2 * count, channel_multiplicity2
             )
+            a_l2_ws.append(np.full(n, -np.inf))
         else:
             ws = _window_bytes(layer, data_bytes, out_rows, out_cols, ci_col)
-            penalized = is_c & (a_l2_budget < ws)
-            a_l2_reload = np.where(penalized, a_l2_reload * count, a_l2_reload)
+            a_l2_ws.append(np.where(is_c, ws, -np.inf))
         out_cols = np.where(kind == _KIND_W, out_cols * count, out_cols)
         out_rows = np.where(kind == _KIND_H, out_rows * count, out_rows)
     if grouped:
@@ -444,10 +459,8 @@ def evaluate_batch(
     a_l2_a0_bits = (
         _window_bytes(layer, data_bytes, tile_ho, tile_wo, a0_channels2) * 8.0 * w2 * h2
     )
-    a_l2_fill_bits = a_l2_a0_bits * a_l2_reload
 
-    # --- traffic assembly (compute_traffic) ---------------------------------
-    chiplet_weight_fill = weight_fill_bits * cols["chp_co_ways"]
+    # --- traffic terms no budget touches (compute_traffic) ------------------
     # Sharing cost dispatches on the package topology (ring/mesh: N_P - 1
     # hops; switch: N_P).  n_chiplets is per-candidate, so evaluate the
     # scalar model once per distinct count -- candidate spaces only ever
@@ -457,34 +470,13 @@ def evaluate_batch(
         sharing_hops[n_chiplets == count] = hw.topology.sharing_hops_per_bit(
             int(count)
         )
-    rot_weights = cols["rot_weights"].astype(bool)
-    rot_activations = cols["rot_activations"].astype(bool)
-    plane_rotated = ~pkg_channel & rot_weights
-    dram_weight_bits = np.where(
-        plane_rotated, chiplet_weight_fill, chiplet_weight_fill * n_chiplets
-    )
-    weight_d2d = np.where(plane_rotated, chiplet_weight_fill * sharing_hops, 0.0)
-    w_l1_write_bits = chiplet_weight_fill * n_chiplets
     core_blocks = c1 * w1 * h1 * c2 * w2 * h2
     block_weight_bits = weight_elements * data_bits
     w_l1_read_bits = block_weight_bits * core_blocks * n_cores * n_chiplets
-
-    channel_rotated = pkg_channel & rot_activations
-    dram_input_bits = np.where(
-        channel_rotated, a_l2_fill_bits, a_l2_fill_bits * n_chiplets
-    )
-    act_d2d = np.where(channel_rotated, a_l2_fill_bits * sharing_hops, 0.0)
-    a_l2_write_bits = a_l2_fill_bits * n_chiplets
     a_l1_write_bits = a_l1_fill_bits * n_cores * n_chiplets
     a_l2_read_bits = a_l1_fill_bits * chp_grid_ways * n_chiplets
-    a_l1_read_bits = layer.macs / hw.lanes * data_bits
-    d2d_bit_hops = act_d2d + weight_d2d
 
-    output_bits = layer.output_elements * data_bits
-    psum_rmw_bits = layer.macs / hw.vector_size * tech.psum_bits
-    rf_drain_bits = layer.output_elements * tech.psum_bits
-
-    # --- int64 exactness guard ----------------------------------------------
+    # --- int64 exactness guard estimates ------------------------------------
     blocks_f = (
         c1.astype(np.float64)
         * w1.astype(np.float64)
@@ -505,27 +497,13 @@ def evaluate_batch(
         * _input_cols_for(layer, out_cols)
         * layer.ci
     )
-    guard = max(
-        float(read_estimate.max()),
-        float(cycles_estimate.max()),
-        float(window_estimate.max()),
-    )
-    if guard > _INT64_SAFE_LIMIT:
-        raise BatchOverflowError(
-            f"candidate magnitude {guard:g} exceeds the int64-exact range"
-        )
 
-    # --- energy (energy_from_traffic) ---------------------------------------
+    # --- energy terms no budget touches (energy_from_traffic) ---------------
     model = EnergyModel(hw)
-    dram_bits = dram_input_bits + dram_weight_bits + output_bits
-    dram_pj = dram_bits * model.dram_pj_per_bit
-    d2d_pj = d2d_bit_hops * model.d2d_pj_per_bit
-    a_l2_pj = (a_l2_write_bits + a_l2_read_bits) * model.a_l2_pj_per_bit
+    output_bits = layer.output_elements * data_bits
     o_l2_bytes = _ceil_div(tile_ho * tile_wo * tile_co * data_bits, np.int64(8))
     if hw.memory.o_l2_bytes:
-        o_l2_pj_bit = np.full(
-            len(candidates), model.o_l2_pj_per_bit(0), dtype=np.float64
-        )
+        o_l2_pj_bit = np.full(n, model.o_l2_pj_per_bit(0), dtype=np.float64)
     else:
         # TechnologyParams.sram_energy_pj_per_bit on the per-candidate size.
         slope = (tech.l2_anchor_pj_per_bit - tech.l1_anchor_pj_per_bit) / (
@@ -537,33 +515,162 @@ def evaluate_batch(
             tech.rf_rmw_energy_pj_per_bit,
         )
     o_l2_pj = (output_bits + output_bits) * o_l2_pj_bit
+    a_l1_read_bits = layer.macs / hw.lanes * data_bits
     a_l1_pj = (a_l1_write_bits + a_l1_read_bits) * model.a_l1_pj_per_bit
-    w_l1_pj = (w_l1_write_bits + w_l1_read_bits) * model.w_l1_pj_per_bit
+
+    # --- cycles (LoopNest.total_cycles) -------------------------------------
+    block_cycles = core_ho * core_wo * layer.kh * layer.kw * chunks
+    cycles = core_blocks * block_cycles
+
+    prefix = {
+        "valid": ~invalid,
+        "chp_grid_ways": chp_grid_ways,
+        "chp_co_ways": cols["chp_co_ways"],
+        "n_chiplets": n_chiplets,
+        "sharing_hops": sharing_hops,
+        "plane_rotated": ~pkg_channel & cols["rot_weights"].astype(bool),
+        "channel_rotated": pkg_channel & cols["rot_activations"].astype(bool),
+        "slot_counts": tuple(count for _, count in slots),
+        "weight_ws": tuple(weight_ws),
+        "weight_a0_bits": weight_a0_bits,
+        "a_l1_cc0_bytes": cc0,
+        "a_l1_a0_bits": a_l1_a0_bits,
+        "a_l1_reload": a_l1_reload,
+        "a_l1_fill_bits": a_l1_fill_bits,
+        "a_l2_ws": tuple(a_l2_ws),
+        "a_l2_a0_bits": a_l2_a0_bits,
+        "a_l1_write_bits": a_l1_write_bits,
+        "a_l2_read_bits": a_l2_read_bits,
+        "w_l1_read_bits": w_l1_read_bits,
+        "o_l2_bytes": o_l2_bytes,
+        "o_l2_pj": o_l2_pj,
+        "a_l1_pj": a_l1_pj,
+        "cycles": cycles,
+        "runtime_s": cycles * tech.cycle_time_ns() * 1e-9,
+        "guard": np.maximum(np.maximum(read_estimate, cycles_estimate), window_estimate),
+    }
+    for value in prefix.values():
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+    return prefix
+
+
+def slice_prefix(prefix: Prefix, rows: slice) -> Prefix:
+    """The prefix of the candidates ``rows`` selects."""
+    return {
+        name: tuple(a[rows] for a in value) if isinstance(value, tuple) else value[rows]
+        for name, value in prefix.items()
+    }
+
+
+def evaluate_batch(
+    layer: ConvLayer,
+    hw: HardwareConfig,
+    candidates: Sequence[Mapping],
+    prefix: Prefix | None = None,
+) -> BatchResult:
+    """Evaluate every candidate mapping of one (layer, hw) in one pass.
+
+    A :class:`~repro.core.space.CandidateTable` is read through its
+    columns; any other sequence is encoded mapping by mapping first.
+    ``prefix`` is the candidates' :func:`family_prefix` when the caller
+    already holds it (a :class:`FamilyPlans` hit): it must have been
+    built for ``candidates`` on a machine of ``hw``'s family, and only the
+    W-L1/A-L2 budget comparisons, the traffic and the energy are left.
+
+    Raises:
+        BatchOverflowError: When an int64 product would leave the exact
+            range (callers fall back to the scalar oracle).
+    """
+    if not candidates:
+        raise ValueError("candidates must be non-empty")
+    if prefix is None:
+        if isinstance(candidates, CandidateTable):
+            cols = candidates.columns
+        else:
+            cols = _encode(candidates)
+        prefix = family_prefix(layer, hw, cols)
+    elif prefix["valid"].shape != (len(candidates),):
+        raise ValueError(
+            f"prefix has {prefix['valid'].size} rows for {len(candidates)} candidates"
+        )
+    guard = float(prefix["guard"].max())
+    if guard > _INT64_SAFE_LIMIT:
+        raise BatchOverflowError(
+            f"candidate magnitude {guard:g} exceeds the int64-exact range"
+        )
+    p = prefix
+    tech = hw.tech
+    data_bits = tech.data_bits
+
+    # --- the W-L1 and A-L2 budget comparisons -------------------------------
+    weight_buffer = (hw.memory.w_l1_bytes * p["chp_grid_ways"]).astype(np.float64)
+    weight_reload = np.ones(len(candidates), dtype=np.float64)
+    for working_set, count in zip(p["weight_ws"], p["slot_counts"]):
+        weight_reload = np.where(
+            weight_buffer < working_set, weight_reload * count, weight_reload
+        )
+    weight_fill_bits = p["weight_a0_bits"] * weight_reload
+    a_l2_budget = float(hw.memory.a_l2_bytes)
+    a_l2_reload = np.ones(len(candidates), dtype=np.float64)
+    for working_set, count in zip(p["a_l2_ws"], p["slot_counts"][3:]):
+        a_l2_reload = np.where(
+            a_l2_budget < working_set, a_l2_reload * count, a_l2_reload
+        )
+    a_l2_fill_bits = p["a_l2_a0_bits"] * a_l2_reload
+
+    # --- traffic assembly (compute_traffic) ---------------------------------
+    n_chiplets = p["n_chiplets"]
+    chiplet_weight_fill = weight_fill_bits * p["chp_co_ways"]
+    plane_rotated = p["plane_rotated"]
+    dram_weight_bits = np.where(
+        plane_rotated, chiplet_weight_fill, chiplet_weight_fill * n_chiplets
+    )
+    weight_d2d = np.where(plane_rotated, chiplet_weight_fill * p["sharing_hops"], 0.0)
+    w_l1_write_bits = chiplet_weight_fill * n_chiplets
+    channel_rotated = p["channel_rotated"]
+    dram_input_bits = np.where(
+        channel_rotated, a_l2_fill_bits, a_l2_fill_bits * n_chiplets
+    )
+    act_d2d = np.where(channel_rotated, a_l2_fill_bits * p["sharing_hops"], 0.0)
+    a_l2_write_bits = a_l2_fill_bits * n_chiplets
+    a_l1_read_bits = layer.macs / hw.lanes * data_bits
+    d2d_bit_hops = act_d2d + weight_d2d
+
+    output_bits = layer.output_elements * data_bits
+    psum_rmw_bits = layer.macs / hw.vector_size * tech.psum_bits
+    rf_drain_bits = layer.output_elements * tech.psum_bits
+
+    # --- energy (energy_from_traffic) ---------------------------------------
+    model = EnergyModel(hw)
+    dram_bits = dram_input_bits + dram_weight_bits + output_bits
+    dram_pj = dram_bits * model.dram_pj_per_bit
+    d2d_pj = d2d_bit_hops * model.d2d_pj_per_bit
+    a_l2_pj = (a_l2_write_bits + p["a_l2_read_bits"]) * model.a_l2_pj_per_bit
+    w_l1_pj = (w_l1_write_bits + p["w_l1_read_bits"]) * model.w_l1_pj_per_bit
     rf_pj = (psum_rmw_bits + rf_drain_bits) * model.rf_rmw_pj_per_bit
     mac_pj = model.mac_energy_pj(layer.macs)
     # EnergyBreakdown.total_pj association order, component by component.
     energy_pj = (
-        ((((((dram_pj + d2d_pj) + a_l2_pj) + o_l2_pj) + a_l1_pj) + w_l1_pj) + rf_pj)
+        ((((((dram_pj + d2d_pj) + a_l2_pj) + p["o_l2_pj"]) + p["a_l1_pj"]) + w_l1_pj)
+         + rf_pj)
         + mac_pj
     )
 
-    # --- cycles and EDP (LoopNest.total_cycles / CostReport.edp) ------------
-    block_cycles = core_ho * core_wo * layer.kh * layer.kw * chunks
-    cycles = core_blocks * block_cycles
-    runtime_s = cycles * tech.cycle_time_ns() * 1e-9
-    edp = energy_pj * 1e-12 * runtime_s
+    # --- EDP (CostReport.edp) -----------------------------------------------
+    edp = energy_pj * 1e-12 * p["runtime_s"]
 
     return BatchResult(
         candidates=candidates,
-        valid=valid,
-        weight_a0_bits=weight_a0_bits,
+        valid=p["valid"],
+        weight_a0_bits=p["weight_a0_bits"],
         weight_reload=weight_reload,
         weight_fill_bits=weight_fill_bits,
-        a_l1_cc0_bytes=cc0,
-        a_l1_a0_bits=a_l1_a0_bits,
-        a_l1_reload=a_l1_reload,
-        a_l1_fill_bits=a_l1_fill_bits,
-        a_l2_a0_bits=a_l2_a0_bits,
+        a_l1_cc0_bytes=p["a_l1_cc0_bytes"],
+        a_l1_a0_bits=p["a_l1_a0_bits"],
+        a_l1_reload=p["a_l1_reload"],
+        a_l1_fill_bits=p["a_l1_fill_bits"],
+        a_l2_a0_bits=p["a_l2_a0_bits"],
         a_l2_reload=a_l2_reload,
         a_l2_fill_bits=a_l2_fill_bits,
         dram_input_bits=dram_input_bits,
@@ -571,24 +678,24 @@ def evaluate_batch(
         dram_output_bits=output_bits,
         d2d_bit_hops=d2d_bit_hops,
         a_l2_write_bits=a_l2_write_bits,
-        a_l2_read_bits=a_l2_read_bits,
-        a_l1_write_bits=a_l1_write_bits,
+        a_l2_read_bits=p["a_l2_read_bits"],
+        a_l1_write_bits=p["a_l1_write_bits"],
         a_l1_read_bits=a_l1_read_bits,
         w_l1_write_bits=w_l1_write_bits,
-        w_l1_read_bits=w_l1_read_bits,
+        w_l1_read_bits=p["w_l1_read_bits"],
         rf_rmw_bits=psum_rmw_bits,
         rf_drain_bits=rf_drain_bits,
         dram_pj=dram_pj,
         d2d_pj=d2d_pj,
         a_l2_pj=a_l2_pj,
-        o_l2_pj=o_l2_pj,
-        a_l1_pj=a_l1_pj,
+        o_l2_pj=p["o_l2_pj"],
+        a_l1_pj=p["a_l1_pj"],
         w_l1_pj=w_l1_pj,
         rf_pj=rf_pj,
         mac_pj=mac_pj,
         energy_pj=energy_pj,
-        o_l2_bytes=o_l2_bytes,
-        cycles=cycles,
+        o_l2_bytes=p["o_l2_bytes"],
+        cycles=p["cycles"],
         edp=edp,
     )
 
@@ -605,6 +712,7 @@ def search_batch(
     hw: HardwareConfig,
     candidates: Sequence[Mapping],
     objective: str = "energy_objective",
+    prefix: Prefix | None = None,
 ) -> BatchSearchOutcome | None:
     """Batch-evaluate ``candidates`` and pick the scalar-identical winner.
 
@@ -618,7 +726,8 @@ def search_batch(
     of that row alone), and the cross-chunk winner scan uses the same
     strict-``<`` update as the scalar loop, so the first-in-enumeration
     winner -- and therefore the whole sweep output -- is byte-identical at
-    every chunk size.
+    every chunk size.  A ``prefix`` (the candidates' :func:`family_prefix`)
+    is sliced alongside them.
     """
     scorer = BATCH_OBJECTIVES.get(objective)
     if scorer is None or not candidates:
@@ -626,7 +735,7 @@ def search_batch(
     chunk = batch_chunk_candidates()
     if chunk is None or chunk >= len(candidates):
         try:
-            result = evaluate_batch(layer, hw, candidates)
+            result = evaluate_batch(layer, hw, candidates, prefix)
         except BatchOverflowError:
             return None
         return BatchSearchOutcome(
@@ -638,8 +747,14 @@ def search_batch(
     best_score = float("inf")
     evaluated = invalid = n_chunks = 0
     for start in range(0, len(candidates), chunk):
+        rows = slice(start, start + chunk)
         try:
-            result = evaluate_batch(layer, hw, candidates[start : start + chunk])
+            result = evaluate_batch(
+                layer,
+                hw,
+                candidates[rows],
+                None if prefix is None else slice_prefix(prefix, rows),
+            )
         except BatchOverflowError:
             return None
         n_chunks += 1
@@ -656,3 +771,64 @@ def search_batch(
     return BatchSearchOutcome(
         best_index=best_index, evaluated=evaluated, invalid=invalid
     )
+
+
+def _family_hardware(hw: HardwareConfig) -> HardwareConfig:
+    """``hw`` with the two sizes a family's sweep points vary blanked.
+
+    W-L1 and A-L2 are zeroed through ``dataclasses.replace``, so every other
+    field -- including any added later -- stays part of the family.
+    """
+    return replace(hw, memory=replace(hw.memory, w_l1_bytes=0, a_l2_bytes=0))
+
+
+@dataclass(frozen=True)
+class FamilyPlan:
+    """One layer's deduped mapping space plus its kernel prefix."""
+
+    table: CandidateTable
+    prefix: Prefix
+
+
+class FamilyPlans:
+    """The family-plan memo of one sweep.
+
+    One plan per (layer geometry, profile, hardware with W-L1 and A-L2
+    blanked), built on the blanked machine, serves every W-L1 x A-L2 point
+    of a family.  The memo holds the current family only and drops it when
+    the family changes.  It lives as long as the sweep holding it and
+    unpickles empty, so each pool worker keeps its own for the life of its
+    pool.
+    """
+
+    def __init__(self) -> None:
+        self._point: tuple[HardwareConfig, SearchProfile] | None = None
+        self._space: MappingSpace | None = None
+        self._plans: dict[ConvLayer, FamilyPlan] = {}
+
+    def __reduce__(self):
+        return (FamilyPlans, ())
+
+    def plan(
+        self, hw: HardwareConfig, profile: SearchProfile, layer: ConvLayer
+    ) -> FamilyPlan:
+        """The plan of ``layer`` for ``hw``'s family under ``profile``.
+
+        A hit still counts the table's dropped congruent candidates, as a
+        fresh :meth:`~repro.core.space.MappingSpace.unique_candidates`
+        would.
+        """
+        if (hw, profile) != self._point:
+            self._point = (hw, profile)
+            space = MappingSpace(_family_hardware(hw), profile)
+            if space != self._space:
+                self._space, self._plans = space, {}
+        key = replace(layer, name="")
+        plan = self._plans.get(key)
+        if plan is None:
+            table = self._space.unique_candidates(layer)
+            plan = FamilyPlan(table, family_prefix(layer, self._space.hw, table.columns))
+            self._plans[key] = plan
+        elif plan.table.deduped:
+            obs.count("space.candidates.deduped", plan.table.deduped)
+        return plan

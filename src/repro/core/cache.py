@@ -27,7 +27,7 @@ per-digest ``fcntl`` lock file, so two sweeps flushing the same machine
 cannot lose each other's entries; corrupt or version-mismatched files are
 quarantined (renamed ``<file>.corrupt-<ts>``) rather than silently
 shadowing the store, and stale temp files left by crashed writers are swept
-on the next save.
+on a process's first save to the directory.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ CACHE_FORMAT_VERSION = 1
 # Monotonic flush counter consulted by the corrupt-cache fault injector
 # (process-local, so injected corruption is deterministic per run).
 _flush_index = 0
+
+# (pid, directory) pairs whose stale temp files this process has swept.
+# Module-level because every sweep point opens its own MappingCache.
+_swept_dirs: set[tuple[int, Path]] = set()
 
 
 def _max_cache_bytes() -> int | None:
@@ -326,8 +330,16 @@ class MappingCache:
         )
 
     def _sweep_stale_tmp(self) -> None:
-        """Remove temp files abandoned by writers that no longer exist."""
+        """Remove temp files abandoned by writers that no longer exist.
+
+        Runs once per directory per process: a writer that dies later
+        leaves its temp for the next process to sweep.
+        """
         assert self.directory is not None
+        key = (os.getpid(), self.directory.absolute())
+        if key in _swept_dirs:
+            return
+        _swept_dirs.add(key)
         for tmp in self.directory.glob("mappings-*.tmp.*"):
             try:
                 pid = int(tmp.name.rsplit(".", 1)[-1])
@@ -365,7 +377,8 @@ class MappingCache:
         lock file, so entries written by other processes since the last
         load are merged back in -- concurrent sweeps extend, never
         truncate, the store.  Stale ``.tmp.<pid>`` files whose writers have
-        died are swept first.  Writes go through
+        died are swept first, on the first save to a directory in this
+        process.  Writes go through
         :func:`repro.durable.atomic_write` (fsync'd temp + rename), so a
         ``kill -9`` at any instant leaves either the old file or the new
         one, never a torn mix.

@@ -33,6 +33,7 @@ from repro.arch.config import HardwareConfig, MemoryConfig, build_hardware
 from repro.arch.technology import DEFAULT_TECHNOLOGY, TechnologyParams
 from repro.arch.topology import Topology
 from repro.arch.validate import validation_errors
+from repro.core.batch import FamilyPlans
 from repro.core.checkpoint import SweepCheckpoint, sweep_digest, task_key
 from repro.core.cost import InvalidMappingError, model_cost
 from repro.core.mapper import Mapper
@@ -160,6 +161,7 @@ def _evaluate_point(
     hw: HardwareConfig,
     models: dict[str, list[ConvLayer]],
     profile: SearchProfile,
+    plans: FamilyPlans | None = None,
 ) -> tuple[dict[str, float], dict[str, int], tuple[int, int]]:
     """Optimal-mapping energy and cycles of every model on ``hw``.
 
@@ -167,10 +169,11 @@ def _evaluate_point(
     (hits, misses) counters of the point's search.  The layer search runs
     serially (``jobs=1``): sweep-level parallelism fans out across design
     points, and nesting pools inside pool workers is never a win.
+    ``plans`` is the sweep's family-plan memo, when it has one.
     """
     energy: dict[str, float] = {}
     cycles: dict[str, int] = {}
-    mapper = Mapper(hw=hw, profile=profile)
+    mapper = Mapper(hw=hw, profile=profile, plans=plans)
     for name, layers in models.items():
         results = mapper.search_model(layers, jobs=1)
         breakdown, total_cycles, _ = model_cost([r.best for r in results], hw)
@@ -185,6 +188,7 @@ def _make_point(
     profile: SearchProfile,
     required_macs: int | None = None,
     max_chiplet_mm2: float | None = None,
+    plans: FamilyPlans | None = None,
 ) -> tuple[DesignPoint, bool, int, int]:
     """Validate and (when structurally valid) evaluate one design point.
 
@@ -210,7 +214,7 @@ def _make_point(
         eval_start = time.perf_counter()
         try:
             point.energy_pj, point.cycles, (hits, misses) = _evaluate_point(
-                hw, models, profile
+                hw, models, profile, plans
             )
         except InvalidMappingError as exc:
             point.valid = False
@@ -230,8 +234,12 @@ def _granularity_task(config: tuple[int, int, int, int]):
 
 
 def _explore_task(task: tuple[int, int, int, int, MemoryConfig]):
-    """Worker: one Figure 15 (computation, memory) sweep point."""
-    models, profile, tech, required_macs, max_chiplet_mm2, topology = (
+    """Worker: one Figure 15 (computation, memory) sweep point.
+
+    The context is :func:`_sweep_context`'s; its family-plan memo lives as
+    long as the context does (the sweep, or one pool's worker).
+    """
+    models, profile, tech, required_macs, max_chiplet_mm2, topology, plans = (
         worker_context()
     )
     n_p, n_c, lane, vec, memory = task
@@ -244,7 +252,25 @@ def _explore_task(task: tuple[int, int, int, int, MemoryConfig]):
         profile,
         required_macs=required_macs,
         max_chiplet_mm2=max_chiplet_mm2,
+        plans=plans,
     )
+
+
+def _sweep_context(
+    models: dict[str, list[ConvLayer]],
+    profile: SearchProfile,
+    tech: TechnologyParams,
+    required_macs: int,
+    max_chiplet_mm2: float | None,
+    topology: Topology,
+) -> tuple:
+    """The shared context of a sweep's :func:`_explore_task` calls.
+
+    Carries a fresh :class:`~repro.core.batch.FamilyPlans`, so a sweep's
+    points share family plans and the memo goes when the sweep ends.
+    """
+    plans = FamilyPlans()
+    return (models, profile, tech, required_macs, max_chiplet_mm2, topology, plans)
 
 
 def _failed_point(
@@ -582,7 +608,9 @@ def explore(
         raise ValueError("resume=True requires a checkpoint_dir")
     space = space or DesignSpace()
     jobs = resolve_jobs(jobs)
-    context = (models, profile, tech, required_macs, max_chiplet_mm2, topology)
+    context = _sweep_context(
+        models, profile, tech, required_macs, max_chiplet_mm2, topology
+    )
     if jobs > 1 and not is_picklable(context):
         jobs = 1
     tasks = _sweep_tasks(space, required_macs, memory_stride)
@@ -762,7 +790,7 @@ def _explore_serial_capped(
     evaluations beyond ``max_valid_points`` -- the cheap-skip behaviour the
     pre-parallel implementation had.
     """
-    models, profile, tech, required_macs, max_chiplet_mm2, topology = context
+    models, profile, tech, required_macs, max_chiplet_mm2, topology, plans = context
     outcomes: list[tuple[DesignPoint, bool, int, int]] = []
     evaluated = 0
     for n_p, n_c, lane, vec, memory in tasks:
@@ -786,7 +814,7 @@ def _explore_serial_capped(
         if point.valid and evaluated < max_valid_points:
             try:
                 point.energy_pj, point.cycles, (hits, misses) = _evaluate_point(
-                    hw, models, profile
+                    hw, models, profile, plans
                 )
                 evaluated += 1
             except InvalidMappingError as exc:

@@ -106,6 +106,10 @@ class Mapper:
             the default honours ``REPRO_CACHE_DIR`` for an on-disk store.
         jobs: Default worker count for :meth:`search_model` (``None`` defers
             to ``REPRO_JOBS``, then serial).
+        plans: A sweep's family-plan memo
+            (:class:`~repro.core.batch.FamilyPlans`) to take each layer's
+            candidate table and kernel prefix from; ``None`` (the default)
+            enumerates every fresh search and retains nothing.
     """
 
     hw: HardwareConfig
@@ -113,6 +117,7 @@ class Mapper:
     objective: Objective = field(default=energy_objective)
     cache: MappingCache | None = None
     jobs: int | None = None
+    plans: batch.FamilyPlans | None = None
 
     def __post_init__(self) -> None:
         self._space = MappingSpace(hw=self.hw, profile=self.profile)
@@ -206,15 +211,17 @@ class Mapper:
         """The exhaustive candidate scan (cache-oblivious).
 
         The space comes back as a columnar
-        :class:`~repro.core.space.CandidateTable`.  The struct-of-arrays
-        batch kernel (:mod:`repro.core.batch`) scores its columns in one
-        numpy pass when it can guarantee bit-identity with the scalar loop
-        (known objective, ``REPRO_BATCH_KERNEL`` not opted out); only the
-        winner is rebuilt as a :class:`Mapping`, and its full
-        :class:`CostReport` comes from a single scalar ``evaluate_mapping``
-        call.  Otherwise the scalar strict-``<`` scan below iterates the
-        same table in the same order -- it stays the golden oracle either
-        way (see ``tests/properties/test_batch_kernel.py``).
+        :class:`~repro.core.space.CandidateTable`, taken with its kernel
+        prefix from :attr:`plans` when the mapper belongs to a sweep.  The
+        struct-of-arrays batch kernel (:mod:`repro.core.batch`) scores its
+        columns in one numpy pass when it can guarantee bit-identity with
+        the scalar loop (known objective, ``REPRO_BATCH_KERNEL`` not opted
+        out); only the winner is rebuilt as a :class:`Mapping`, and its
+        full :class:`CostReport` comes from a single scalar
+        ``evaluate_mapping`` call.  Otherwise the scalar strict-``<`` scan
+        below iterates the same table in the same order -- it stays the
+        golden oracle either way (see
+        ``tests/properties/test_batch_kernel.py``).
 
         Candidate counters are batched into one pair of ``obs.count`` calls
         after the scan, so the per-candidate hot loop carries no
@@ -226,11 +233,19 @@ class Mapper:
         invalid = 0
         search_start = time.perf_counter()
         with obs.span("mapper.search_fresh", layer=layer.name):
-            candidates = self._space.unique_candidates(layer)
+            if self.plans is None:
+                candidates, prefix = self._space.unique_candidates(layer), None
+            else:
+                plan = self.plans.plan(self.hw, self.profile, layer)
+                candidates, prefix = plan.table, plan.prefix
             outcome = None
             if batch.batch_kernel_enabled() and self._batch_objective is not None:
                 outcome = batch.search_batch(
-                    layer, self.hw, candidates, objective=self._batch_objective
+                    layer,
+                    self.hw,
+                    candidates,
+                    objective=self._batch_objective,
+                    prefix=prefix,
                 )
             if outcome is not None:
                 evaluated = outcome.evaluated

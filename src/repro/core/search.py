@@ -733,6 +733,7 @@ def guided_explore(
         _failed_point,
         _outcome_from_record,
         _record_from_outcome,
+        _sweep_context,
     )
 
     if batch_size < 1:
@@ -747,7 +748,9 @@ def guided_explore(
         space, required_macs, trials=trials, seed=seed
     )
     jobs = resolve_jobs(jobs)
-    context = (models, profile, tech, required_macs, max_chiplet_mm2, topology)
+    context = _sweep_context(
+        models, profile, tech, required_macs, max_chiplet_mm2, topology
+    )
     if jobs > 1 and not is_picklable(context):
         jobs = 1
     if stats is not None:

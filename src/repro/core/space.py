@@ -443,7 +443,7 @@ class MappingSpace:
         if dropped:
             obs.count("space.candidates.deduped", dropped)
             block = block[:, kept]
-        return CandidateTable(block, packages, chiplets, self.hw.lanes)
+        return CandidateTable(block, packages, chiplets, self.hw.lanes, deduped=dropped)
 
 
 def _first_occurrences(key: tuple["np.ndarray", ...]) -> "np.ndarray":
@@ -472,10 +472,15 @@ class CandidateTable(Sequence[Mapping]):
     (:data:`CANDIDATE_COLUMNS`), so a search scores the whole space
     without building a :class:`Mapping` per candidate.  Indexing or
     iterating rebuilds mappings on demand, equal to the ones the nested
-    enumeration loops used to build; slicing returns a table.
+    enumeration loops used to build; slicing returns a table.  The columns
+    are read-only, so a table can be shared between searches; ``deduped``
+    is the number of congruent candidates the space dropped (0 on a slice).
     """
 
-    __slots__ = ("columns", "_block", "_rows", "_packages", "_chiplets", "_lanes")
+    __slots__ = (
+        "columns", "deduped", "_block", "_rows", "_packages", "_chiplets", "_lanes",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -483,7 +488,10 @@ class CandidateTable(Sequence[Mapping]):
         packages: list[SpatialPrimitive],
         chiplets: list[SpatialPrimitive],
         lanes: int,
+        deduped: int = 0,
     ) -> None:
+        block.flags.writeable = False
+        self.deduped = deduped
         self._block = block
         self._rows = dict(zip(_BLOCK, block))
         self.columns: dict[str, "np.ndarray"] = {

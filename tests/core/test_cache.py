@@ -7,7 +7,8 @@ the cache, in memory within a run and from the JSON store across runs.
 Robustness guarantees: concurrent saves against one directory never lose
 entries (per-digest ``fcntl`` locking), corrupt or version-mismatched files
 are quarantined instead of silently shadowing the store, and stale temp
-files from crashed writers are swept on the next save.
+files from crashed writers are swept on a process's first save to the
+directory.
 """
 
 import json
@@ -378,6 +379,26 @@ class TestQuarantineAndSweep:
         cache.save()
         assert not dead.exists()  # pid 999999999 cannot be alive
         assert alive.exists()  # our own (in-progress) temp is untouched
+
+    def test_stale_tmp_sweep_globs_once_per_directory(self, tmp_path, monkeypatch):
+        # Every sweep point opens its own MappingCache on the same store, so
+        # the once-per-directory record must outlive the instance.
+        import pathlib
+
+        tmp_globs = []
+        glob = pathlib.Path.glob
+
+        def counting_glob(self, pattern, *args, **kwargs):
+            if ".tmp." in pattern:
+                tmp_globs.append(self)
+            return glob(self, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "glob", counting_glob)
+        for shape in ("a", "b"):
+            cache = MappingCache(tmp_path)
+            cache.put(shape + "|" + DIGEST + "|minimal|o", object(), record={"m": 1})
+            cache.save()
+        assert tmp_globs == [tmp_path]
 
     def test_injected_corruption_recovers_next_run(self, tmp_path):
         """corrupt-cache fault -> torn file on disk -> quarantined, not fatal."""
